@@ -160,8 +160,8 @@ def _bench_machine() -> dict:
     }
 
 
-def _bench_row(engine: str, workers: int, args, repeats: int) -> dict:
-    """Time one (engine, transport, workers) pipeline configuration.
+def _bench_row(workers: int, args, repeats: int) -> dict:
+    """Time the pipeline at one worker count.
 
     Each row runs generate -> simulate -> aggregate end to end,
     ``repeats`` times, keeping the best wall clock per stage (best-of
@@ -174,30 +174,11 @@ def _bench_row(engine: str, workers: int, args, repeats: int) -> dict:
     import time
     import warnings
 
+    from .motion import generate_batch
     from .parallel import ParallelFallbackWarning
+    from .simulate import simulate_batch
 
-    def loop_pass():
-        from .motion import generate_dataset
-        from .simulate import report, simulate_dataset
-        t0 = time.perf_counter()
-        traces = generate_dataset(
-            viewers=args.viewers, videos=args.videos,
-            duration_s=args.duration, workers=workers, engine="loop")
-        t_gen = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        results = simulate_dataset(traces, workers=workers,
-                                   engine="loop")
-        t_sim = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        availability = report(results)
-        t_rep = time.perf_counter() - t0
-        slots = sum(r.slots for r in results)
-        return (t_gen, t_sim, t_rep, len(traces), slots,
-                availability.overall_availability)
-
-    def batch_pass():
-        from .motion import generate_batch
-        from .simulate import simulate_batch
+    def one_pass():
         t0 = time.perf_counter()
         batch = generate_batch(
             viewers=args.viewers, videos=args.videos,
@@ -214,8 +195,6 @@ def _bench_row(engine: str, workers: int, args, repeats: int) -> dict:
         return (t_gen, t_sim, t_rep, len(result), connected.size,
                 overall)
 
-    one_pass = loop_pass if engine == "loop" else batch_pass
-    fallbacks = 0
     best = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ParallelFallbackWarning)
@@ -228,17 +207,14 @@ def _bench_row(engine: str, workers: int, args, repeats: int) -> dict:
             if issubclass(w.category, ParallelFallbackWarning))
     t_gen, t_sim, t_rep, traces, slots, overall = best
     wall_s = t_gen + t_sim + t_rep
-    transport = "none" if workers <= 1 else \
-        ("pickle" if engine == "loop" else "shm")
     return {
-        "engine": engine,
-        "transport": transport,
+        "transport": "none" if workers <= 1 else "shm",
         "workers": workers,
         "traces": traces,
         "slots": slots,
-        # The declared computation dtype of the step columns both
-        # engines run over (every engine allocation passes dtype=
-        # explicitly; rule Y002 keeps it that way).
+        # The declared computation dtype of the step columns (every
+        # engine allocation passes dtype= explicitly; rule Y002 keeps
+        # it that way).
         "dtype": np.dtype(np.float64).name,
         "wall_s": wall_s,
         "generate_s": t_gen,
@@ -251,18 +227,40 @@ def _bench_row(engine: str, workers: int, args, repeats: int) -> dict:
     }
 
 
-def _cmd_bench(args):
-    """Bench the trace pipeline per (engine, transport, workers) row.
+def _parallel_gate(required: float, workers: int, rows: list,
+                   machine: dict, speedup) -> dict:
+    """Judge ``batch xN >= required x batch x1`` where it can hold.
 
-    Four rows cover the throughput matrix: the per-trace loop engine
-    and the batched tensor engine, each single-worker and across a
-    process pool (pickle transport for the loop's object results, the
-    shared-memory array transport for the batch's tensors).  Every row
-    must report the identical overall availability — the bench doubles
-    as an end-to-end determinism check.  ``--require-batch-speedup X``
-    turns the record into a gate: exit nonzero when the batch stack's
-    slots/s falls below ``X`` times the loop stack's at the same
-    worker count.
+    The gate is enforced only when the process may run on at least
+    ``workers`` cores and the pool really ran; otherwise it is
+    recorded as skipped, with the reason.
+    """
+    cores = machine["cpu_affinity"] or machine["cpu_count"] or 1
+    if speedup is None:
+        reason = "no pooled row (workers <= 1)"
+    elif cores < workers:
+        reason = f"cpu_affinity {cores} < {workers} workers"
+    elif any(row["serial_fallback"] for row in rows):
+        reason = "process pool unavailable (serial fallback in rows)"
+    else:
+        passed = speedup >= required
+        return {"required": required,
+                "status": "passed" if passed else "failed",
+                "reason": f"{speedup:.2f}x {'>=' if passed else '<'} "
+                          f"{required:.2f}x"}
+    return {"required": required, "status": "skipped", "reason": reason}
+
+
+def _cmd_bench(args):
+    """Bench the trace pipeline at one worker and across a pool.
+
+    Both rows run the batch engines; the pooled row moves its tensors
+    through the shared-memory transport.  Every row must report the
+    identical overall availability — the bench doubles as an
+    end-to-end determinism check.  ``--require-parallel-speedup X``
+    turns the record into a gate: exit nonzero when the pooled row's
+    slots/s falls below ``X`` times the single-worker row's, on a
+    machine with at least as many cores as workers.
     """
     from .orchestrator.signals import SignalGuard, SweepInterrupted
     try:
@@ -276,19 +274,15 @@ def _cmd_bench(args):
 
 def _bench_run(args, guard):
     """The bench body; ``guard.check()`` between rows keeps Ctrl-C clean."""
-    import time
-
     from .parallel import default_workers
     from .store import write_json_atomic
 
     if args.quick:
         # The pinned CI preset: the paper's 500-trace corpus with
-        # best-of-3 rows and a tiny reference subset.  The transport
-        # comparison needs the full corpus — on a small one the pool
-        # spawn cost dominates and the pickle/shm difference drowns.
+        # best-of-3 rows.  The parallel comparison needs the full
+        # corpus — on a small one the pool spawn cost dominates.
         args.viewers, args.videos = 50, 10
         args.duration = 60.0
-        args.ref_traces = min(args.ref_traces, 2)
         repeats = 3
     else:
         repeats = args.repeats
@@ -296,65 +290,29 @@ def _bench_run(args, guard):
     pool_workers = args.workers if args.workers else \
         max(2, default_workers())
 
-    row_plan = [("loop", 1), ("batch", 1)]
-    if pool_workers > 1:
-        row_plan += [("loop", pool_workers), ("batch", pool_workers)]
     rows = []
-    for engine, row_workers in row_plan:
+    for row_workers in [1, pool_workers] if pool_workers > 1 else [1]:
         guard.check()
-        rows.append(_bench_row(engine, row_workers, args, repeats))
+        rows.append(_bench_row(row_workers, args, repeats))
 
-    # Bitwise contract: every engine/transport/worker combination must
-    # agree on the availability number exactly.
+    # Bitwise contract: every worker count must agree on the
+    # availability number exactly.
     availabilities = {row["overall_availability"] for row in rows}
     if len(availabilities) != 1:
-        print("ERROR: engines disagree on overall availability: "
-              + ", ".join(f"{row['engine']}/{row['workers']}w="
+        print("ERROR: rows disagree on overall availability: "
+              + ", ".join(f"{row['workers']}w="
                           f"{row['overall_availability']!r}"
                           for row in rows))
         return 1
 
-    # Speedup of the vectorized slot model over the retained reference
-    # loop, measured on a subset (the loop is the slow part).  Both
-    # sides take the best of several passes after a warmup so GC and
-    # scheduler noise cannot skew the ratio.
-    from .motion import generate_dataset
-    from .simulate import simulate_trace
-    from .simulate.timeslot import _simulate_trace_reference
-
-    def best_of(body, n):
-        body()  # warmup
-        best = float("inf")
-        for _ in range(n):
-            t0 = time.perf_counter()
-            body()
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    guard.check()
-    subset = generate_dataset(
-        viewers=1, videos=max(1, min(args.ref_traces, args.videos)),
-        duration_s=args.duration)
-    t_loop = best_of(
-        lambda: [_simulate_trace_reference(t) for t in subset], 3)
-    t_vec = best_of(lambda: [simulate_trace(t) for t in subset], 15)
-    speedup = t_loop / t_vec if t_vec > 0 else float("inf")
-
-    by_key = {(row["engine"], row["workers"]): row for row in rows}
-    loop1 = by_key[("loop", 1)]
-    batch1 = by_key[("batch", 1)]
-    engine_speedup = (batch1["slots_per_s"] / loop1["slots_per_s"]
-                      if loop1["slots_per_s"] > 0 else float("inf"))
-    stack_speedup = None
-    pool_fallback = False
-    if pool_workers > 1:
-        loop_n = by_key[("loop", pool_workers)]
-        batch_n = by_key[("batch", pool_workers)]
-        pool_fallback = (loop_n["serial_fallback"]
-                         or batch_n["serial_fallback"])
-        if loop_n["slots_per_s"] > 0:
-            stack_speedup = (batch_n["slots_per_s"]
-                             / loop_n["slots_per_s"])
+    machine = _bench_machine()
+    speedup = None
+    if len(rows) > 1 and rows[0]["slots_per_s"] > 0:
+        speedup = rows[1]["slots_per_s"] / rows[0]["slots_per_s"]
+    gate = None
+    if args.require_parallel_speedup is not None:
+        gate = _parallel_gate(args.require_parallel_speedup,
+                              pool_workers, rows, machine, speedup)
 
     payload = {
         "pipeline": "generate->simulate->report",
@@ -364,54 +322,29 @@ def _bench_run(args, guard):
         "workers": pool_workers,
         "quick": bool(args.quick),
         "repeats": repeats,
-        "machine": _bench_machine(),
+        "machine": machine,
         "rows": rows,
-        # Headline (legacy) fields describe the pre-existing pipeline:
-        # the single-worker loop engine, as every earlier record did.
-        "traces": loop1["traces"],
-        "slots": loop1["slots"],
-        "wall_s": loop1["wall_s"],
-        "generate_s": loop1["generate_s"],
-        "simulate_s": loop1["simulate_s"],
-        "report_s": loop1["report_s"],
-        "traces_per_s": loop1["traces_per_s"],
-        "slots_per_s": loop1["slots_per_s"],
-        "speedup_vs_reference": speedup,
-        "reference_subset_traces": len(subset),
-        "overall_availability": loop1["overall_availability"],
-        "batch_engine_speedup_single_worker": engine_speedup,
-        "batch_stack_speedup_parallel": stack_speedup,
+        "overall_availability": rows[0]["overall_availability"],
+        "parallel_speedup": speedup,
+        "parallel_gate": gate,
     }
     write_json_atomic(args.output, payload)
 
     for row in rows:
         flag = " (serial fallback!)" if row["serial_fallback"] else ""
-        print(f"{row['engine']:>5s} x{row['workers']} "
-              f"[{row['transport']:>6s}]: {row['wall_s']:.2f} s "
+        print(f"batch x{row['workers']} "
+              f"[{row['transport']:>4s}]: {row['wall_s']:.2f} s "
               f"(gen {row['generate_s']:.2f}, sim "
               f"{row['simulate_s']:.2f}), "
               f"{row['slots_per_s'] / 1e6:.1f}M slots/s{flag}")
-    print(f"slot model speedup vs reference loop: {speedup:.1f}x")
-    print(f"batch engine vs loop engine (1 worker): "
-          f"{engine_speedup:.2f}x")
-    if stack_speedup is not None:
-        print(f"batch+shm vs loop+pickle ({pool_workers} workers): "
-              f"{stack_speedup:.2f}x")
+    if speedup is not None:
+        print(f"parallel speedup (x{pool_workers} vs x1): {speedup:.2f}x")
     print(f"wrote {args.output}")
 
-    if args.require_batch_speedup is not None:
-        if pool_workers <= 1 or stack_speedup is None:
-            print("speedup gate skipped: no pooled rows to compare")
-        elif pool_fallback:
-            print("speedup gate skipped: process pool unavailable "
-                  "(serial fallback recorded in rows)")
-        elif stack_speedup < args.require_batch_speedup:
-            print(f"FAIL: batch stack speedup {stack_speedup:.2f}x < "
-                  f"required {args.require_batch_speedup:.2f}x")
+    if gate is not None:
+        print(f"parallel gate {gate['status']}: {gate['reason']}")
+        if gate["status"] == "failed":
             return 1
-        else:
-            print(f"speedup gate passed: {stack_speedup:.2f}x >= "
-                  f"{args.require_batch_speedup:.2f}x")
     return 0
 
 
@@ -646,16 +579,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "max(2, default_workers()))")
     bench.add_argument("--quick", action="store_true",
                        help="pinned CI preset: canonical 500-trace "
-                            "corpus, best-of-3 rows, 2-trace "
-                            "reference subset")
+                            "corpus, best-of-3 rows")
     bench.add_argument("--repeats", type=int, default=2,
                        help="best-of repeats per row")
-    bench.add_argument("--require-batch-speedup", type=float,
+    bench.add_argument("--require-parallel-speedup", type=float,
                        default=None, metavar="X",
-                       help="exit nonzero unless batch+shm beats "
-                            "loop+pickle by X at matched workers")
-    bench.add_argument("--ref-traces", type=int, default=5,
-                       help="traces timed through the reference loop")
+                       help="exit nonzero unless the pooled row's "
+                            "slots/s is at least X times the "
+                            "single-worker row's (skipped when "
+                            "cpu_affinity < workers)")
     bench.add_argument("--output", default="BENCH_trace_pipeline.json")
     bench.set_defaults(func=_cmd_bench)
 

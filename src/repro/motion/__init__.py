@@ -16,11 +16,9 @@ from .traces import (
     VIDEO_360,
     HeadTrace,
     TraceProfile,
-    generate_dataset,
-    generate_trace,
     resample_trace,
 )
-from .batch import TraceBatch, generate_batch
+from .batch import TraceBatch, generate_batch, generate_dataset, generate_trace
 
 __all__ = [
     "AngularStrokeProfile",

@@ -1,22 +1,20 @@
-"""Batched trace generation: the whole corpus as one tensor.
+"""Trace generation: the whole corpus as one tensor.
 
-``generate_trace`` builds one trace at a time; at dataset scale the
-per-trace Python and small-array overhead dominates.  This module
-generates the *entire corpus in one pass*: every per-trace random
-stream is drawn exactly as ``generate_trace`` draws it (same
-``derive(seed, viewer, video)`` generator, same call order, so the
-output is byte-identical per seed), but the filtering, integration
-and norm stages run once over ``(traces, 3, samples)`` tensors instead
-of thousands of times over ``(samples,)`` vectors.
+This is the one trace generator.  It draws every per-trace random
+stream from ``derive(seed, viewer, video)`` (so each trace regenerates
+identically, independent of corpus shape), then runs the filtering,
+integration and norm stages once over ``(traces, 3, samples)`` tensors
+instead of thousands of times over ``(samples,)`` vectors.
+``generate_trace`` is a batch of one and ``generate_dataset`` returns
+the per-trace views of ``generate_batch``.
 
 Layout: tensors are *axis-major* — ``(T, 3, n)`` with time contiguous
 — because every heavy stage (``lfilter``, ``cumsum``, ``diff``) walks
 the time axis.  :meth:`TraceBatch.trace` exposes the familiar
 ``(n, 3)`` per-trace view by transposition (a zero-copy view).
 
-The equality oracle is the per-trace path: the property tests assert
-``generate_batch(...)`` reproduces ``generate_trace(...)`` element
-for element, bit for bit, for every (viewer, video).
+The per-sample reference generator lives in ``tests/oracles.py``; the
+tests assert this engine reproduces it bit for bit.
 """
 
 from __future__ import annotations
@@ -27,12 +25,13 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.signal import lfilter
 
 from .. import constants
 from ..determinism import derive, kernel
 from ..parallel import parallel_map_arrays
 from ..store import ColumnGroup, ColumnStore
-from .traces import VIDEO_360, HeadTrace, TraceProfile, _lfilter
+from .traces import VIDEO_360, HeadTrace, TraceProfile
 
 
 @dataclass
@@ -184,7 +183,7 @@ def _draw_streams(ids: Sequence[Tuple[int, int]], profile: TraceProfile,
                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                              np.ndarray, List[Tuple[int, int, int,
                                                     float]]]:
-    """Consume every per-trace random stream, in generate_trace order.
+    """Consume every per-trace random stream, in the reference order.
 
     Returns the raw normal tensors plus per-trace sigmas and the
     saccade burst list.  This is the only per-trace loop left in the
@@ -231,20 +230,16 @@ def _ou_filter(z: np.ndarray, sigma: np.ndarray, dt_s: float,
     """Batched stationary-start OU: AR(1) over the last axis.
 
     Scales ``z`` in place (it is scratch) and runs one ``lfilter``
-    pass; per-row arithmetic matches ``_ou_series`` exactly.
+    pass, which evaluates ``y[i] = decay * y[i-1] + x[i]`` in the same
+    floating-point order as the per-sample recursion, so each row is
+    bit-identical to it for the same normal draws.
     """
     decay = math.exp(-dt_s / tau)
     innovation = sigma * math.sqrt(max(1.0 - decay * decay, 1e-12))
     first = sigma * z[..., 0]
     np.multiply(z, innovation[..., None], out=z)
     z[..., 0] = first
-    if _lfilter is None:  # pragma: no cover - exercised only w/o scipy
-        out = np.empty_like(z)
-        out[..., 0] = z[..., 0]
-        for i in range(1, z.shape[-1]):
-            out[..., i] = decay * out[..., i - 1] + z[..., i]
-        return out
-    return _lfilter([1.0], [1.0, -decay], z, axis=-1)
+    return lfilter([1.0], [1.0, -decay], z, axis=-1)
 
 
 def _deposit_saccades(shape: Tuple[int, int],
@@ -280,12 +275,25 @@ def _norm3_steps(x: np.ndarray) -> np.ndarray:
     return np.sqrt(acc, out=acc)
 
 
+def _samples(duration_s: float, dt_s: float) -> int:
+    """Samples per trace; rejects a time grid no trace can live on."""
+    if not dt_s > 0:
+        raise ValueError(f"dt_s must be positive, got {dt_s!r}")
+    if not duration_s >= 0:
+        raise ValueError(
+            f"duration_s must be non-negative, got {duration_s!r}")
+    return int(round(duration_s / dt_s)) + 1
+
+
 def _generate_columns(ids: Sequence[Tuple[int, int]],
                       profile: TraceProfile, duration_s: float,
                       dt_s: float, seed: int,
                       with_pose: bool) -> Dict[str, np.ndarray]:
-    """The tensor pass: every column for a chunk of (viewer, video)."""
-    n = int(round(duration_s / dt_s)) + 1
+    """The tensor pass: every column for a chunk of (viewer, video).
+
+    Module-level, so it is also the picklable worker-side chunk body.
+    """
+    n = _samples(duration_s, dt_s)
     z_ang, z_vel, sigma_ang, sigma_vel, bursts = _draw_streams(
         ids, profile, n, dt_s, seed)
 
@@ -299,7 +307,8 @@ def _generate_columns(ids: Sequence[Tuple[int, int]],
     velocity[:, 2, :] *= 0.4  # vertical sway is smaller
 
     # step_angular reduces (roll^2 + pitch^2) + yaw^2 — the column
-    # order the per-trace omega matrix feeds to np.linalg.norm.
+    # order the reference's (n, 3) omega matrix feeds to
+    # np.linalg.norm.
     ordered = omega[:, ::-1, :]  # rows: roll, pitch, yaw (view)
     step_angular = _norm3_steps(ordered[:, :, 1:]) * dt_s
 
@@ -328,15 +337,6 @@ def _generate_columns(ids: Sequence[Tuple[int, int]],
     return columns
 
 
-def _generate_columns_chunk(ids: Sequence[Tuple[int, int]],
-                            profile: TraceProfile, duration_s: float,
-                            dt_s: float, seed: int,
-                            with_pose: bool) -> Dict[str, np.ndarray]:
-    """Worker-side chunk body (module-level: picklable)."""
-    return _generate_columns(ids, profile, duration_s, dt_s, seed,
-                             with_pose)
-
-
 #: Traces per tensor pass.  Modest chunks beat one monolithic pass:
 #: the scratch working set stays allocator-warm across chunks instead
 #: of page-faulting hundreds of fresh megabytes (measured ~1.4x on the
@@ -356,12 +356,11 @@ def generate_batch(viewers: int = 50, videos: int = 10,
                    group: str = "traces") -> TraceBatch:
     """The full dataset as one batch, byte-identical per seed.
 
-    Per-trace streams derive from ``(seed, viewer, video)`` exactly as
-    :func:`repro.motion.traces.generate_trace` derives them, so every
-    column matches the per-trace path bit for bit — for any
-    ``workers`` setting (each worker chunk re-derives its own
-    streams; outputs land at absolute row indices via
-    :func:`repro.parallel.parallel_map_arrays`).
+    Each trace's stream derives from ``(seed, viewer, video)``, so row
+    ``(viewer, video)`` equals ``generate_trace(viewer, video)`` bit
+    for bit, for any ``workers`` or ``chunk_size`` setting (each
+    worker chunk re-derives its own streams; outputs land at absolute
+    row indices via :func:`repro.parallel.parallel_map_arrays`).
 
     ``columns="steps"`` skips the pose tensors (the slot pipeline only
     consumes step magnitudes).  Passing ``store=`` persists the batch
@@ -369,10 +368,13 @@ def generate_batch(viewers: int = 50, videos: int = 10,
     """
     if columns not in ("full", "steps"):
         raise ValueError("columns must be 'full' or 'steps'")
+    if viewers < 0 or videos < 0:
+        raise ValueError(f"viewers and videos must be non-negative, "
+                         f"got viewers={viewers!r}, videos={videos!r}")
+    n = _samples(duration_s, dt_s)
     with_pose = columns == "full"
     ids = [(viewer, video) for viewer in range(viewers)
            for video in range(videos)]
-    n = int(round(duration_s / dt_s)) + 1
     specs = {
         "step_linear_m": ((n - 1,), np.float64),
         "step_angular_rad": ((n - 1,), np.float64),
@@ -381,7 +383,7 @@ def generate_batch(viewers: int = 50, videos: int = 10,
         specs["positions"] = ((3, n), np.float64)
         specs["eulers"] = ((3, n), np.float64)
     cols = parallel_map_arrays(
-        partial(_generate_columns_chunk, profile=profile,
+        partial(_generate_columns, profile=profile,
                 duration_s=duration_s, dt_s=dt_s, seed=seed,
                 with_pose=with_pose),
         ids, specs=specs, workers=workers, chunk_size=chunk_size,
@@ -404,3 +406,48 @@ def generate_batch(viewers: int = 50, videos: int = 10,
             "duration_s": duration_s, "profile": profile.name,
         })
     return batch
+
+
+def generate_trace(viewer: int, video: int,
+                   profile: TraceProfile = VIDEO_360,
+                   duration_s: float = constants.TRACE_DURATION_S,
+                   dt_s: float = constants.TRACE_REPORT_PERIOD_S,
+                   seed: int = 0) -> HeadTrace:
+    """Synthesize one viewing trace: a batch of one.
+
+    The random stream is derived from (seed, viewer, video), so a
+    trace regenerates identically; viewer and video also set the
+    activity multipliers, giving each viewer a temperament and each
+    video a pace.
+    """
+    cols = _generate_columns([(viewer, video)], profile, duration_s,
+                             dt_s, seed, with_pose=True)
+    return TraceBatch(
+        viewer_ids=np.array([viewer], dtype=np.int64),
+        video_ids=np.array([video], dtype=np.int64),
+        dt_s=dt_s,
+        step_linear_m=cols["step_linear_m"],
+        step_angular_rad=cols["step_angular_rad"],
+        positions=cols["positions"],
+        eulers=cols["eulers"],
+    ).trace(0)
+
+
+def generate_dataset(viewers: int = 50, videos: int = 10,
+                     profile: TraceProfile = VIDEO_360,
+                     duration_s: float = constants.TRACE_DURATION_S,
+                     seed: int = 2022,
+                     workers: Optional[int] = 1,
+                     store: Optional[ColumnStore] = None,
+                     group: str = "traces") -> List[HeadTrace]:
+    """The full 500-trace dataset (viewers x videos), deterministic.
+
+    The per-trace views of :func:`generate_batch`, in (viewer, video)
+    order and byte-identical for any ``workers`` setting.  Passing
+    ``store=`` (a :class:`repro.store.ColumnStore`) persists the
+    corpus as column group ``group``.
+    """
+    return generate_batch(viewers=viewers, videos=videos,
+                          profile=profile, duration_s=duration_s,
+                          seed=seed, workers=workers, store=store,
+                          group=group).traces()

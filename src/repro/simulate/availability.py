@@ -10,7 +10,8 @@ import numpy as np
 
 from ..motion import HeadTrace
 from ..parallel import parallel_map
-from .timeslot import TimeslotParams, TimeslotResult, simulate_trace
+from .batch import simulate_batch, simulate_trace
+from .timeslot import TimeslotParams, TimeslotResult
 
 
 @dataclass(frozen=True)
@@ -50,33 +51,25 @@ def _uniform(traces: Sequence[HeadTrace]) -> bool:
 def simulate_dataset(traces: Sequence[HeadTrace],
                      params: TimeslotParams = TimeslotParams(),
                      workers: Optional[int] = 1,
-                     engine: str = "auto",
                      store=None, group: str = "slots"
                      ) -> List[TimeslotResult]:
     """Replay every trace through the Section 5.4 model.
 
-    Results come back in trace order for any ``workers`` setting (see
-    ``repro.parallel``), so downstream aggregation is deterministic.
-
-    ``engine="auto"`` uses the batched tensor kernel
-    (:func:`repro.simulate.batch.simulate_batch`) whenever the corpus
-    is rectangular (uniform ``dt_s`` / length — the generated datasets
-    always are), falling back to the per-trace loop otherwise; the two
-    produce element-wise identical ``connected`` arrays.  Passing
-    ``store=`` persists the slot tensor as column group ``group``
-    (batch engine only).
+    A rectangular corpus (uniform ``dt_s`` / length — the generated
+    datasets always are) runs as one :func:`simulate_batch` call and
+    returns its per-trace views; a ragged one runs
+    :func:`simulate_trace`, the same kernel, per trace.  Results come
+    back in trace order for any ``workers`` setting (see
+    ``repro.parallel``).  Passing ``store=`` persists the slot tensor
+    as column group ``group`` (rectangular corpora only).
     """
     if not traces:
         raise ValueError("no traces to simulate")
-    if engine not in ("auto", "batch", "loop"):
-        raise ValueError("engine must be 'auto', 'batch' or 'loop'")
-    if engine == "batch" or (engine == "auto" and _uniform(traces)):
-        from .batch import simulate_batch  # local: avoids module cycle
+    if _uniform(traces):
         return simulate_batch(traces, params=params, workers=workers,
                               store=store, group=group).results()
     if store is not None:
-        raise ValueError("store= requires the batch engine "
-                         "(rectangular corpus)")
+        raise ValueError("store= requires a rectangular corpus")
     return parallel_map(partial(simulate_trace, params=params),
                         traces, workers=workers)
 

@@ -1,19 +1,16 @@
-"""Batched Section 5.4 slot simulation: the whole corpus at once.
+"""The Section 5.4 slot model: the whole corpus at once.
 
-``simulate_trace`` vectorizes one trace; at dataset scale the per-trace
-Python overhead (a dozen NumPy dispatches per trace) still dominates.
-This module runs the identical drift/realign/compare arithmetic with a
-leading *trace* axis: the short sub-slot dimension (``slots_per_report``,
-typically 10) is walked sequentially exactly as the loop walks it, but
-each step is one vector operation across *every report of every trace*.
+This is the one slot kernel.  It runs the drift/realign/compare
+arithmetic with a leading *trace* axis: the short sub-slot dimension
+(``slots_per_report``, typically 10) is walked sequentially, but each
+step is one vector operation across *every report of every trace*.
+Only running accumulator rows (``(traces, reports)``) are kept in
+floats; each sub-slot's comparison lands straight in the boolean
+output.  ``simulate_trace`` is a batch of one.
 
-Bit-compatibility is a hard contract, not an aspiration: the per-trace
-engine is the oracle, and the property tests assert the batched
-``connected`` tensor matches it element for element.  The batched
-kernel keeps only running accumulator rows (``(traces, reports)``)
-instead of materializing the full per-channel error tensor, writing
-each sub-slot's comparison result straight into the boolean output —
-same floats, same comparisons, a fraction of the memory traffic.
+The slot-by-slot reference loop lives in ``tests/oracles.py``; the
+tests assert this kernel reproduces its ``connected`` arrays element
+for element, across every TP-latency regime.
 """
 
 from __future__ import annotations
@@ -110,13 +107,14 @@ def _connected_rows(step_linear: np.ndarray, step_angular: np.ndarray,
                     slots_per_report: int) -> np.ndarray:
     """The (T, N * S) connected tensor for stacked step columns.
 
-    The batched twin of ``timeslot._drift_errors``: identical running
-    sums in the identical left-to-right order, with the trace axis in
-    front.  Both channels advance together through the short sub-slot
-    loop; only the current accumulator rows ``(T, reports)`` are kept
-    in floats, and each sub-slot's fused comparison ``(lat <= tol) &
-    (ang <= tol)`` lands directly in the boolean output — same floats,
-    same comparisons, a fraction of the memory traffic.
+    Per trace, the error is a running sum (the TP residual at the
+    start of the replay, ``+= rate`` once per slot) that snaps back to
+    the residual at slot ``tp_latency_slots`` of every report interval
+    after the first.  The additions happen in the reference loop's
+    left-to-right order, so the result is bit-identical, not merely
+    close.  Both channels advance together through the short sub-slot
+    loop, and each sub-slot's fused comparison ``(lat <= tol) & (ang
+    <= tol)`` lands directly in the boolean output.
     """
     t_count, n = step_linear.shape
     slots = slots_per_report
@@ -200,7 +198,7 @@ def _connected_chunk(items: Sequence[tuple], params: TimeslotParams,
                                          params, slots_per_report)}
 
 
-def _batch_slots_per_report(dt_s: float, params: TimeslotParams) -> int:
+def _slots_per_report(dt_s: float, params: TimeslotParams) -> int:
     slots_per_report = int(round(dt_s / params.slot_s))
     if slots_per_report < 1:
         raise ValueError("slots must be finer than the report period")
@@ -222,8 +220,7 @@ def simulate_batch(batch: Union[TraceBatch, Sequence[HeadTrace]],
 
     Accepts a :class:`~repro.motion.batch.TraceBatch` (preferred; a
     steps-only batch suffices) or any uniform sequence of
-    :class:`HeadTrace`.  Element-wise identical to running
-    ``simulate_trace`` per trace — the property tests enforce it.
+    :class:`HeadTrace`.
 
     With ``workers > 1`` the trace axis is chunked over a process pool
     and workers write their ``connected`` rows into shared memory (no
@@ -237,7 +234,7 @@ def simulate_batch(batch: Union[TraceBatch, Sequence[HeadTrace]],
         # Steps-only: the slot kernel never reads the pose tensors, so
         # skip copying them.
         batch = TraceBatch.from_traces(traces, columns="steps")
-    slots_per_report = _batch_slots_per_report(batch.dt_s, params)
+    slots_per_report = _slots_per_report(batch.dt_s, params)
     t_count, n = batch.step_linear_m.shape
 
     items = [(batch.step_linear_m[i], batch.step_angular_rad[i])
@@ -259,3 +256,15 @@ def simulate_batch(batch: Union[TraceBatch, Sequence[HeadTrace]],
             "tp_latency_slots": params.tp_latency_slots,
         })
     return result
+
+
+def simulate_trace(trace: HeadTrace,
+                   params: TimeslotParams = TimeslotParams()
+                   ) -> TimeslotResult:
+    """Replay one trace through the 1 ms-slot model: a batch of one."""
+    connected = _connected_rows(
+        np.asarray(trace.step_linear_m, dtype=np.float64).reshape(1, -1),
+        np.asarray(trace.step_angular_rad, dtype=np.float64).reshape(1, -1),
+        params, _slots_per_report(trace.dt_s, params))
+    return TimeslotResult(connected=connected[0], viewer=trace.viewer,
+                          video=trace.video)

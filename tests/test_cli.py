@@ -30,7 +30,7 @@ class TestParser:
         assert args.viewers == 10
         assert args.workers == 0  # 0 = auto (max(2, default_workers()))
         assert not args.quick
-        assert args.require_batch_speedup is None
+        assert args.require_parallel_speedup is None
         assert args.output == "BENCH_trace_pipeline.json"
 
     def test_bench_options(self):
@@ -99,11 +99,51 @@ class TestCommands:
     def test_bench_small(self, capsys, tmp_path):
         out_path = tmp_path / "BENCH_trace_pipeline.json"
         assert main(["bench", "--viewers", "1", "--videos", "1",
-                     "--duration", "2.0", "--ref-traces", "1",
+                     "--duration", "2.0", "--workers", "2",
                      "--output", str(out_path)]) == 0
         out = capsys.readouterr().out
-        assert "speedup" in out
+        assert "parallel speedup" in out
         assert out_path.exists()
+
+    def test_bench_parallel_gate_skips_without_cores(self, capsys,
+                                                     tmp_path,
+                                                     monkeypatch):
+        # More workers than cores: the gate cannot hold, so it is
+        # recorded as skipped (exit 0) however high the bar.
+        import json
+
+        import repro.cli as cli
+        machine = cli._bench_machine()
+        monkeypatch.setattr(cli, "_bench_machine", lambda: dict(
+            machine, cpu_affinity=1, cpu_count=1))
+        out_path = tmp_path / "b.json"
+        assert main(["bench", "--viewers", "1", "--videos", "1",
+                     "--duration", "1.0", "--workers", "2",
+                     "--require-parallel-speedup", "1000",
+                     "--output", str(out_path)]) == 0
+        gate = json.loads(out_path.read_text())["parallel_gate"]
+        assert gate["status"] == "skipped"
+        assert "cpu_affinity 1 < 2 workers" in gate["reason"]
+        assert "parallel gate skipped" in capsys.readouterr().out
+
+    def test_bench_parallel_gate_fails_below_bar(self, tmp_path,
+                                                 monkeypatch):
+        import json
+
+        import repro.cli as cli
+        machine = cli._bench_machine()
+        monkeypatch.setattr(cli, "_bench_machine", lambda: dict(
+            machine, cpu_affinity=8, cpu_count=8))
+        out_path = tmp_path / "b.json"
+        code = main(["bench", "--viewers", "1", "--videos", "1",
+                     "--duration", "1.0", "--workers", "2",
+                     "--require-parallel-speedup", "1000",
+                     "--output", str(out_path)])
+        gate = json.loads(out_path.read_text())["parallel_gate"]
+        # A sandbox without process pools falls back serially, which
+        # skips the gate instead of failing it.
+        assert gate["status"] in ("failed", "skipped")
+        assert code == (1 if gate["status"] == "failed" else 0)
 
 
 class TestScenarioCommands:

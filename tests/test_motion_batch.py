@@ -1,10 +1,12 @@
-"""The batched trace engine against its per-trace equality oracle.
+"""The trace engine against the per-sample reference generator.
 
-``generate_trace`` is the reference implementation; ``generate_batch``
-must reproduce it *bit for bit* for every (viewer, video) — same
-derived streams, same draw order, same float arithmetic.  These tests
-assert exact array equality (``np.array_equal``, never ``allclose``)
-across engines, worker counts and chunk sizes.
+``tests.oracles.generate_trace_reference`` is the oracle;
+``generate_batch`` — and its views ``generate_trace`` and
+``generate_dataset`` — must reproduce it *bit for bit* for every
+(viewer, video): same derived streams, same draw order, same float
+arithmetic.  These tests assert exact array equality
+(``np.array_equal``, never ``allclose``) across APIs, worker counts
+and chunk sizes.
 """
 
 import warnings
@@ -12,19 +14,36 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.motion import NORMAL_USE, TraceBatch, generate_batch, generate_dataset
-from repro.motion.traces import generate_trace
+from repro.motion import (
+    NORMAL_USE,
+    VIDEO_360,
+    TraceBatch,
+    generate_batch,
+    generate_dataset,
+    generate_trace,
+)
 from repro.parallel import ParallelFallbackWarning
 from repro.store import ColumnStore
+
+from tests.oracles import generate_trace_reference
 
 SEED = 2022
 DUR = 5.0
 
 
-def _reference(viewers, videos, duration_s):
-    return [generate_trace(viewer, video, duration_s=duration_s,
-                           seed=SEED)
+def _reference(viewers, videos, duration_s, profile=VIDEO_360):
+    return [generate_trace_reference(viewer, video, profile,
+                                     duration_s=duration_s, seed=SEED)
             for viewer in range(viewers) for video in range(videos)]
+
+
+def _assert_same_trace(got, want):
+    assert (got.viewer, got.video) == (want.viewer, want.video)
+    assert got.dt_s == want.dt_s
+    assert np.array_equal(got.positions, want.positions)
+    assert np.array_equal(got.eulers, want.eulers)
+    assert np.array_equal(got.step_linear_m, want.step_linear_m)
+    assert np.array_equal(got.step_angular_rad, want.step_angular_rad)
 
 
 class TestBitIdentity:
@@ -34,27 +53,29 @@ class TestBitIdentity:
         oracle = _reference(3, 2, DUR)
         assert len(batch) == len(oracle)
         for got, want in zip(batch.traces(), oracle):
-            assert got.viewer == want.viewer
-            assert got.video == want.video
-            assert got.dt_s == want.dt_s
-            assert np.array_equal(got.positions, want.positions)
-            assert np.array_equal(got.eulers, want.eulers)
-            assert np.array_equal(got.step_linear_m, want.step_linear_m)
-            assert np.array_equal(got.step_angular_rad,
-                                  want.step_angular_rad)
+            _assert_same_trace(got, want)
 
     def test_normal_use_profile_bitwise(self):
         # NORMAL_USE has a different saccade/activity mix; the stream
         # consumption order must survive the profile change.
         batch = generate_batch(viewers=2, videos=2, profile=NORMAL_USE,
                                duration_s=DUR, seed=SEED)
-        for got, want in zip(
-                batch.traces(),
-                [generate_trace(v, w, NORMAL_USE, duration_s=DUR,
-                                seed=SEED)
-                 for v in range(2) for w in range(2)]):
-            assert np.array_equal(got.positions, want.positions)
-            assert np.array_equal(got.eulers, want.eulers)
+        for got, want in zip(batch.traces(),
+                             _reference(2, 2, DUR, NORMAL_USE)):
+            _assert_same_trace(got, want)
+
+    @pytest.mark.parametrize("profile", [VIDEO_360, NORMAL_USE],
+                             ids=lambda profile: profile.name)
+    @pytest.mark.parametrize("dt_s", [0.001, 0.002, 0.01, 0.05])
+    @pytest.mark.parametrize("duration_s", [0.0, 1.0, 5.0])
+    def test_generate_trace_matches_reference(self, profile, dt_s,
+                                              duration_s):
+        got = generate_trace(3, 7, profile, duration_s=duration_s,
+                             dt_s=dt_s, seed=SEED)
+        want = generate_trace_reference(3, 7, profile,
+                                        duration_s=duration_s,
+                                        dt_s=dt_s, seed=SEED)
+        _assert_same_trace(got, want)
 
     def test_chunk_size_does_not_change_bytes(self):
         whole = generate_batch(viewers=3, videos=3, duration_s=DUR,
@@ -85,18 +106,17 @@ class TestBitIdentity:
         assert np.array_equal(serial.step_angular_rad,
                               pooled.step_angular_rad)
 
-    def test_dataset_engine_parity(self):
-        loop = generate_dataset(viewers=2, videos=2, duration_s=DUR,
-                                engine="loop")
-        batch = generate_dataset(viewers=2, videos=2, duration_s=DUR,
-                                 engine="batch")
-        for got, want in zip(batch, loop):
-            assert (got.viewer, got.video) == (want.viewer, want.video)
-            assert np.array_equal(got.positions, want.positions)
-            assert np.array_equal(got.eulers, want.eulers)
-            assert np.array_equal(got.step_linear_m, want.step_linear_m)
-            assert np.array_equal(got.step_angular_rad,
-                                  want.step_angular_rad)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_dataset_matches_oracle(self, workers):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ParallelFallbackWarning)
+            dataset = generate_dataset(viewers=2, videos=2,
+                                       duration_s=DUR, seed=SEED,
+                                       workers=workers)
+        oracle = _reference(2, 2, DUR)
+        assert len(dataset) == len(oracle)
+        for got, want in zip(dataset, oracle):
+            _assert_same_trace(got, want)
 
 
 class TestShapesAndModes:
@@ -135,6 +155,19 @@ class TestShapesAndModes:
         want = generate_trace(0, 0, duration_s=DUR, seed=SEED)
         assert np.array_equal(batch.trace(0).positions, want.positions)
 
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"dt_s": 0.0}, "dt_s"),
+        ({"dt_s": -0.01}, "dt_s"),
+        ({"duration_s": -1.0}, "duration_s"),
+        ({"viewers": -1}, "viewers"),
+        ({"videos": -1}, "videos"),
+    ])
+    def test_rejects_invalid_grid(self, kwargs, name):
+        args = {"viewers": 1, "videos": 1, "duration_s": DUR}
+        args.update(kwargs)
+        with pytest.raises(ValueError, match=name):
+            generate_batch(**args)
+
     def test_trace_views_are_zero_copy(self):
         batch = generate_batch(viewers=1, videos=1, duration_s=DUR)
         view = batch.trace(0)
@@ -144,8 +177,7 @@ class TestShapesAndModes:
 
 class TestFromTraces:
     def test_roundtrip(self):
-        traces = generate_dataset(viewers=2, videos=2, duration_s=DUR,
-                                  engine="loop")
+        traces = _reference(2, 2, DUR)
         batch = TraceBatch.from_traces(traces)
         for got, want in zip(batch.traces(), traces):
             assert np.array_equal(got.positions, want.positions)
@@ -153,8 +185,7 @@ class TestFromTraces:
             assert np.array_equal(got.step_linear_m, want.step_linear_m)
 
     def test_steps_mode(self):
-        traces = generate_dataset(viewers=1, videos=2, duration_s=DUR,
-                                  engine="loop")
+        traces = _reference(1, 2, DUR)
         batch = TraceBatch.from_traces(traces, columns="steps")
         assert not batch.has_pose
 

@@ -12,7 +12,9 @@ from repro.motion import (
     measure_trace,
     resample_trace,
 )
-from repro.motion.traces import _ou_series, _ou_series_reference
+from repro.motion.batch import _ou_filter
+
+from tests.oracles import ou_series_reference
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +202,11 @@ class TestResample:
 
 
 class TestOuVectorization:
-    """The vectorized AR(1) path is bit-identical to the recursion."""
+    """Rows of the batched OU filter equal the per-sample recursion.
+
+    Both sides consume the same normal draws: the reference draws one
+    scalar at a time, the engine fills a whole row in one call.
+    """
 
     @pytest.mark.parametrize("n,tau,sigma", [
         (1, 0.8, 0.1),
@@ -211,24 +217,27 @@ class TestOuVectorization:
         (50, 1e6, 0.5),      # decay ~ 1, tiny innovation
     ])
     def test_bitwise_equal_to_reference(self, n, tau, sigma):
-        fast = _ou_series(n, 0.01, tau, sigma,
-                          np.random.default_rng(99))
-        slow = _ou_series_reference(n, 0.01, tau, sigma,
-                                    np.random.default_rng(99))
-        np.testing.assert_array_equal(fast, slow)
+        sigmas = np.array([[sigma, sigma * 0.45, sigma * 0.2]])
+        z = np.random.default_rng(99).standard_normal((1, 3, n))
+        fast = _ou_filter(z, sigmas, 0.01, tau)
+        rng = np.random.default_rng(99)
+        for row, row_sigma in enumerate(sigmas[0]):
+            slow = ou_series_reference(n, 0.01, tau, row_sigma, rng)
+            np.testing.assert_array_equal(fast[0, row], slow)
 
     def test_consumes_identical_rng_stream(self):
-        # After generating, both leave the generator in the same state
-        # so downstream draws (saccades, sway) are unchanged.
+        # The engine's one-call row fill leaves the generator where the
+        # per-sample draws do, so downstream draws (saccades, sway) are
+        # unchanged.
         rng_a = np.random.default_rng(7)
         rng_b = np.random.default_rng(7)
-        _ou_series(500, 0.01, 0.8, 0.2, rng_a)
-        _ou_series_reference(500, 0.01, 0.8, 0.2, rng_b)
+        rng_a.standard_normal(500)
+        ou_series_reference(500, 0.01, 0.8, 0.2, rng_b)
         assert rng_a.integers(1 << 30) == rng_b.integers(1 << 30)
 
     def test_empty_series(self):
-        assert _ou_series(0, 0.01, 0.8, 0.1,
-                          np.random.default_rng(0)).size == 0
+        assert _ou_filter(np.empty((0, 3, 10)), np.empty((0, 3)),
+                          0.01, 0.8).shape == (0, 3, 10)
 
 
 class TestDatasetWorkers:

@@ -1,8 +1,9 @@
 """Marker-gated performance smoke tests (``-m perf`` selects them).
 
-Small enough to ride in tier-1: they assert the vectorized slot model
-agrees with the reference loop on a real (tiny) dataset and that the
-``python -m repro bench`` artifact round-trips through ``json.load``.
+Small enough to ride in tier-1: they assert the slot kernel agrees
+with the reference loop in ``tests/oracles.py`` on a real (tiny)
+dataset and that the ``python -m repro bench`` artifact round-trips
+through ``json.load``.
 Absolute speed assertions live in ``python -m repro bench`` itself, not
 here, so CI timing noise cannot break the suite.
 """
@@ -15,7 +16,8 @@ import pytest
 from repro.cli import main
 from repro.motion import generate_dataset
 from repro.simulate import simulate_dataset
-from repro.simulate.timeslot import _simulate_trace_reference
+
+from tests.oracles import simulate_trace_reference
 
 pytestmark = pytest.mark.perf
 
@@ -25,7 +27,7 @@ class TestVectorizedSmoke:
         traces = generate_dataset(viewers=2, videos=2, duration_s=3.0)
         vectorized = simulate_dataset(traces)
         for trace, fast in zip(traces, vectorized):
-            slow = _simulate_trace_reference(trace)
+            slow = simulate_trace_reference(trace)
             np.testing.assert_array_equal(fast.connected,
                                           slow.connected)
 
@@ -36,7 +38,7 @@ class TestBenchArtifact:
         path = tmp_path_factory.mktemp("bench") / \
             "BENCH_trace_pipeline.json"
         code = main(["bench", "--viewers", "1", "--videos", "2",
-                     "--duration", "2.0", "--ref-traces", "1",
+                     "--duration", "2.0", "--workers", "2",
                      "--output", str(path)])
         assert code == 0
         return path
@@ -49,11 +51,16 @@ class TestBenchArtifact:
     def test_reports_required_fields(self, bench_path):
         with open(bench_path) as handle:
             payload = json.load(handle)
-        for key in ("wall_s", "traces_per_s", "slots_per_s",
-                    "speedup_vs_reference", "traces", "slots",
-                    "workers"):
+        for key in ("workers", "machine", "rows",
+                    "overall_availability", "parallel_speedup",
+                    "parallel_gate"):
             assert key in payload
-        assert payload["traces"] == 2
-        assert payload["slots"] == 2 * 200 * 10
-        assert payload["wall_s"] > 0
-        assert payload["speedup_vs_reference"] > 1.0
+        assert [row["workers"] for row in payload["rows"]] == [1, 2]
+        for row in payload["rows"]:
+            assert row["traces"] == 2
+            assert row["slots"] == 2 * 200 * 10
+            assert row["wall_s"] > 0
+            assert row["slots_per_s"] > 0
+        assert payload["parallel_speedup"] > 0
+        # No --require-parallel-speedup: no gate verdict recorded.
+        assert payload["parallel_gate"] is None

@@ -1,9 +1,10 @@
-"""The batched slot kernel against the per-trace oracle.
+"""The slot kernel against the slot-by-slot reference loop.
 
-``simulate_trace`` is the reference; ``simulate_batch`` must produce
-the element-for-element identical ``connected`` tensor across every
-TP-latency regime (carry, no-carry, never-realigns), worker count and
-corpus shape.
+``tests.oracles.simulate_trace_reference`` is the oracle;
+``simulate_batch`` — and its views ``simulate_trace`` and
+``simulate_dataset`` — must produce the element-for-element identical
+``connected`` arrays across every TP-latency regime (carry, no-carry,
+never-realigns), worker count and corpus shape.
 """
 
 import warnings
@@ -11,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.motion import TraceBatch, generate_batch, generate_dataset
+from repro.motion import generate_batch, generate_dataset, generate_trace
 from repro.parallel import ParallelFallbackWarning
 from repro.simulate import (
     BatchTimeslotResult,
@@ -21,6 +22,8 @@ from repro.simulate import (
     simulate_trace,
 )
 from repro.store import ColumnStore
+
+from tests.oracles import simulate_trace_reference
 
 SEED = 2022
 DUR = 5.0
@@ -33,7 +36,8 @@ def corpus():
 
 
 def _oracle(batch, params):
-    return [simulate_trace(trace, params) for trace in batch.traces()]
+    return [simulate_trace_reference(trace, params)
+            for trace in batch.traces()]
 
 
 class TestBitIdentity:
@@ -69,13 +73,33 @@ class TestBitIdentity:
                                     chunk_size=2)
         assert np.array_equal(serial.connected, pooled.connected)
 
-    def test_dataset_engine_parity(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_dataset_matches_oracle(self, workers):
         traces = generate_dataset(viewers=2, videos=2, duration_s=DUR)
-        loop = simulate_dataset(traces, engine="loop")
-        batch = simulate_dataset(traces, engine="batch")
-        for got, want in zip(batch, loop):
-            assert np.array_equal(got.connected, want.connected)
-            assert (got.viewer, got.video) == (want.viewer, want.video)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ParallelFallbackWarning)
+            got = simulate_dataset(traces, workers=workers)
+        for row, want in zip(got, [simulate_trace_reference(t)
+                                   for t in traces]):
+            assert np.array_equal(row.connected, want.connected)
+            assert (row.viewer, row.video) == (want.viewer, want.video)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ragged_dataset_matches_oracle(self, workers):
+        traces = [generate_trace(0, 0, duration_s=DUR, seed=SEED),
+                  generate_trace(0, 1, duration_s=2 * DUR, seed=SEED)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ParallelFallbackWarning)
+            got = simulate_dataset(traces, workers=workers)
+        for row, trace in zip(got, traces):
+            want = simulate_trace_reference(trace)
+            assert np.array_equal(row.connected, want.connected)
+
+    def test_ragged_dataset_refuses_store(self, tmp_path):
+        traces = [generate_trace(0, 0, duration_s=DUR, seed=SEED),
+                  generate_trace(0, 1, duration_s=2 * DUR, seed=SEED)]
+        with pytest.raises(ValueError):
+            simulate_dataset(traces, store=ColumnStore(tmp_path))
 
 
 class TestEdgeShapes:
@@ -94,8 +118,10 @@ class TestEdgeShapes:
         batch = generate_batch(viewers=1, videos=1, duration_s=DUR,
                                seed=SEED)
         got = simulate_batch(batch)
-        want = simulate_trace(batch.trace(0))
+        want = simulate_trace_reference(batch.trace(0))
         assert np.array_equal(got.result(0).connected, want.connected)
+        assert np.array_equal(simulate_trace(batch.trace(0)).connected,
+                              want.connected)
 
     def test_trace_shorter_than_one_report(self):
         # duration == dt: a single report interval (n == 1), which

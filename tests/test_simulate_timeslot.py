@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.motion import HeadTrace, generate_trace
-from repro.simulate import TimeslotParams, simulate_trace
-from repro.simulate.timeslot import _simulate_trace_reference
+from repro.simulate import TimeslotParams, simulate_batch, simulate_trace
+
+from tests.oracles import simulate_trace_reference
 
 
 def synthetic_trace(step_linear_m, step_angular_rad, dt_s=0.010):
@@ -105,12 +106,12 @@ class TestSimulateTrace:
 
 
 def _assert_matches_reference(trace, params):
-    vectorized = simulate_trace(trace, params)
-    reference = _simulate_trace_reference(trace, params)
-    np.testing.assert_array_equal(vectorized.connected,
-                                  reference.connected)
-    assert vectorized.viewer == reference.viewer
-    assert vectorized.video == reference.video
+    reference = simulate_trace_reference(trace, params)
+    for got in (simulate_trace(trace, params),
+                simulate_batch([trace], params).result(0)):
+        np.testing.assert_array_equal(got.connected, reference.connected)
+        assert got.viewer == reference.viewer
+        assert got.video == reference.video
 
 
 @st.composite
@@ -149,7 +150,7 @@ def trace_and_params(draw):
 
 
 class TestVectorizedMatchesReference:
-    """The tentpole invariant: vectorized == reference, element-wise."""
+    """The slot kernel equals the reference loop, element-wise."""
 
     @settings(max_examples=150, deadline=None)
     @given(trace_and_params())
