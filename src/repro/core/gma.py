@@ -5,10 +5,13 @@ beam's originating point and direction.  The parameterized expression
 itself lives in :func:`repro.galvo.mirror.trace`; this module adds:
 
 * :class:`GmaModel` -- a thin, frame-aware wrapper the pointing
-  algorithms use;
+  algorithms use; :meth:`GmaModel.beams` runs the array kernel below
+  on constants cached per model;
 * :func:`trace_batch` -- a fully vectorized evaluation of ``G`` over
   many voltage pairs at once, which the least-squares fits call inside
-  their residual functions (the scalar path would be ~100x slower);
+  their residual functions (the scalar path would be ~100x slower).
+  It is :func:`_layout` (the per-parameter-set constants) plus
+  :func:`_trace_rows` (cos/sin and two reflect passes);
 * :func:`board_hits` -- the ``f(G(v1, v2))`` composition of Section
   4.1-B: where the beams land on the calibration board.
 """
@@ -16,7 +19,8 @@ itself lives in :func:`repro.galvo.mirror.trace`; this module adds:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from functools import cached_property
+from typing import NamedTuple, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -25,15 +29,71 @@ from ..galvo import GmaParams, mirror_planes, trace
 from ..geometry import Plane, Ray, RigidTransform
 
 
+class _Layout(NamedTuple):
+    """Per-parameter-set constants of the array ``G`` kernel.
+
+    Everything :func:`_trace_rows` needs that does not depend on the
+    voltages: unit input direction, unit normals and axes, and each
+    mirror's Rodrigues terms ``r_i x n_i`` and ``r_i . n_i``.
+    """
+
+    p0: np.ndarray
+    x0: np.ndarray
+    q1: np.ndarray
+    r1: np.ndarray
+    n1: np.ndarray
+    r1_cross_n1: np.ndarray
+    r1_dot_n1: float
+    q2: np.ndarray
+    r2: np.ndarray
+    n2: np.ndarray
+    r2_cross_n2: np.ndarray
+    r2_dot_n2: float
+    theta1: float
+
+
+def _layout(vector: npt.ArrayLike) -> _Layout:
+    """The kernel constants of a 25-parameter encoding."""
+    vec = np.asarray(vector, dtype=float)
+
+    def unit(v: np.ndarray) -> np.ndarray:
+        return v / np.linalg.norm(v)
+
+    r1, n1 = unit(vec[12:15]), unit(vec[6:9])
+    r2, n2 = unit(vec[21:24]), unit(vec[15:18])
+    return _Layout(
+        p0=vec[0:3], x0=unit(vec[3:6]),
+        q1=vec[9:12], r1=r1, n1=n1, r1_cross_n1=np.cross(r1, n1),
+        r1_dot_n1=float(np.dot(r1, n1)),
+        q2=vec[18:21], r2=r2, n2=n2, r2_cross_n2=np.cross(r2, n2),
+        r2_dot_n2=float(np.dot(r2, n2)),
+        theta1=vec[24])
+
+
 @dataclass(frozen=True)
 class GmaModel:
     """A learned (or hypothesized) GMA model in a particular frame."""
 
     params: GmaParams
 
+    @cached_property
+    def _constants(self) -> _Layout:
+        return _layout(self.params.to_vector())
+
     def beam(self, v1: float, v2: float) -> Ray:
         """Evaluate ``G(v1, v2)``: the predicted output beam."""
         return trace(self.params, v1, v2)
+
+    def beams(self, v1: np.ndarray, v2: np.ndarray
+              ) -> Tuple[np.ndarray, np.ndarray]:
+        """``G`` over (n,) voltage arrays on the array kernel.
+
+        Returns ``(origins, directions)``, each (n, 3), equal to
+        :func:`trace_batch` on ``params.to_vector()``.  The kernel
+        constants are computed once per model.  ``G'`` and ``P`` run
+        here; :meth:`beam` (the scalar trace) agrees to ULP level.
+        """
+        return _trace_rows(self._constants, v1, v2)
 
     def second_mirror_plane(self, v1: float, v2: float) -> Plane:
         """The predicted second-mirror plane at these voltages."""
@@ -45,17 +105,17 @@ class GmaModel:
         return GmaModel(self.params.transformed(transform))
 
 
-def _rotate_about(axis: np.ndarray, angles: np.ndarray,
-                  vector: np.ndarray) -> np.ndarray:
+def _rotate_about(axis: np.ndarray, axis_cross: np.ndarray,
+                  axis_dot: float, vector: np.ndarray,
+                  angles: np.ndarray) -> np.ndarray:
     """Rodrigues rotation of one vector by many angles (vectorized).
 
-    ``axis`` and ``vector`` are (3,); ``angles`` is (n,).  Returns
-    (n, 3): ``vector`` rotated by each angle about ``axis``.
+    ``axis`` and ``vector`` are (3,), ``axis_cross``/``axis_dot`` their
+    cross and dot product; ``angles`` is (n,).  Returns (n, 3):
+    ``vector`` rotated by each angle about ``axis``.
     """
     cos = np.cos(angles)[:, None]
     sin = np.sin(angles)[:, None]
-    axis_cross = np.cross(axis, vector)
-    axis_dot = float(np.dot(axis, vector))
     return (cos * vector + sin * axis_cross
             + (1.0 - cos) * axis_dot * axis)
 
@@ -80,6 +140,21 @@ def _reflect_batch(origins: np.ndarray, directions: np.ndarray,
     return strikes, reflected
 
 
+def _trace_rows(layout: _Layout, v1: np.ndarray, v2: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """The array ``G`` kernel: rotate both normals, reflect twice."""
+    normals1 = _rotate_about(layout.r1, layout.r1_cross_n1,
+                             layout.r1_dot_n1, layout.n1, layout.theta1 * v1)
+    normals2 = _rotate_about(layout.r2, layout.r2_cross_n2,
+                             layout.r2_dot_n2, layout.n2, layout.theta1 * v2)
+    # One input beam for every row: (1, 3) rows broadcast against the
+    # (n, 3) normals.
+    mid_points, mid_dirs = _reflect_batch(layout.p0[None, :],
+                                          layout.x0[None, :], normals1,
+                                          layout.q1)
+    return _reflect_batch(mid_points, mid_dirs, normals2, layout.q2)
+
+
 def trace_batch(vector: npt.ArrayLike, v1: npt.ArrayLike,
                 v2: npt.ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized ``G`` over many voltage pairs.
@@ -91,25 +166,8 @@ def trace_batch(vector: npt.ArrayLike, v1: npt.ArrayLike,
     the optimizer is free to wander through slightly non-unit normals,
     and the residuals stay smooth.
     """
-    vec = np.asarray(vector, dtype=float)
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    p0, x0 = vec[0:3], vec[3:6]
-    n1, q1, r1 = vec[6:9], vec[9:12], vec[12:15]
-    n2, q2, r2 = vec[15:18], vec[18:21], vec[21:24]
-    theta1 = vec[24]
-
-    def unit(vector: np.ndarray) -> np.ndarray:
-        return vector / np.linalg.norm(vector)
-
-    x0 = unit(x0)
-    normals1 = _rotate_about(unit(r1), theta1 * v1, unit(n1))
-    normals2 = _rotate_about(unit(r2), theta1 * v2, unit(n2))
-    n = len(v1)
-    origins = np.broadcast_to(p0, (n, 3))
-    directions = np.broadcast_to(x0, (n, 3))
-    mid_points, mid_dirs = _reflect_batch(origins, directions, normals1, q1)
-    return _reflect_batch(mid_points, mid_dirs, normals2, q2)
+    return _trace_rows(_layout(vector), np.asarray(v1, dtype=float),
+                       np.asarray(v2, dtype=float))
 
 
 def board_hits(vector: npt.ArrayLike, v1: npt.ArrayLike,

@@ -6,16 +6,20 @@ purely computational iteration linearizes ``G`` around the current
 voltages via two finite differences, projects everything onto the plane
 ``P`` through ``tau`` perpendicular to the current beam, and solves a
 2x2 system for the voltage update.  It converges in 2-4 iterations.
+
+The iteration runs on the array kernel of :mod:`repro.core.gma`: the
+three finite-difference beams are one kernel call, and the 2x2 solve
+is closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 import numpy.typing as npt
 
-from ..geometry import NoIntersectionError, Plane, Ray
 from .gma import GmaModel
 
 #: Finite-difference voltage step for the local linearization.
@@ -23,6 +27,10 @@ EPSILON_V = 0.01
 
 #: Default convergence threshold: the DAQ's 16-bit voltage step.
 DEFAULT_VOLTAGE_STEP_V = 20.0 / 2 ** 16
+
+#: ``det / (|u1|^2 |u2|^2)`` (the squared sine of the angle between
+#: ``u1`` and ``u2``) at or below which the 2x2 basis is degenerate.
+DEGENERATE_BASIS = 1e-12
 
 
 class InverseDivergedError(RuntimeError):
@@ -39,9 +47,22 @@ class InverseResult:
     miss_distance_m: float
 
 
-def _intersection(beam: Ray, plane: Plane) -> np.ndarray:
-    """Beam-plane intersection, tolerant of backwards geometry."""
-    return plane.intersect_ray(beam, forward_only=False)
+def _step(basis: np.ndarray, residual: np.ndarray) -> Tuple[float, float]:
+    """Least-squares ``(a, b)`` with ``a u1 + b u2 ~= residual``.
+
+    ``basis`` holds ``u1`` and ``u2`` as rows.  The 2x2 normal
+    equations are solved in closed form.  A singular normal matrix
+    (``u1`` parallel to ``u2``: both mirrors steer the beam along one
+    line) has no unique step and raises.
+    """
+    (g11, g12), (_, g22) = (basis @ basis.T).tolist()
+    c1, c2 = (basis @ residual).tolist()
+    det = g11 * g22 - g12 * g12
+    if not det > DEGENERATE_BASIS * g11 * g22:
+        raise InverseDivergedError(
+            f"degenerate G' basis: u1 and u2 are parallel (normal matrix "
+            f"det {det:.3g}, diagonal {g11:.3g}, {g22:.3g})")
+    return (g22 * c1 - g12 * c2) / det, (g11 * c2 - g12 * c1) / det
 
 
 def solve(model: GmaModel, target: npt.ArrayLike,
@@ -53,7 +74,8 @@ def solve(model: GmaModel, target: npt.ArrayLike,
     Follows Section 4.3's four steps per iteration:
 
     1. evaluate ``G`` at ``(v1, v2)``, ``(v1 + eps, v2)`` and
-       ``(v1, v2 + eps)``;
+       ``(v1, v2 + eps)`` -- one call of the array kernel
+       (:meth:`GmaModel.beams`);
     2. build the plane ``P`` through ``tau`` perpendicular to the
        current beam, and intersect all three beams with it (``k0``,
        ``k1``, ``k2``);
@@ -62,27 +84,32 @@ def solve(model: GmaModel, target: npt.ArrayLike,
        ``u2 = k2 - k0`` by a least-squares 2x2 solve for ``(a, b)``;
     4. update ``v1 += a * eps``, ``v2 += b * eps``; stop once the
        update falls below the GM's minimum voltage step.
+
+    Raises :class:`InverseDivergedError` when a beam runs parallel to
+    ``P``, when ``u1`` and ``u2`` are parallel (no unique update), or
+    after ``max_iterations``.
     """
     tau = np.asarray(target, dtype=float)
     for iteration in range(1, max_iterations + 1):
-        beam0 = model.beam(v1, v2)
-        plane = Plane(tau, beam0.direction)
-        try:
-            k0 = _intersection(beam0, plane)
-            k1 = _intersection(model.beam(v1 + EPSILON_V, v2), plane)
-            k2 = _intersection(model.beam(v1, v2 + EPSILON_V), plane)
-        except NoIntersectionError as exc:
+        origins, directions = model.beams(
+            np.array([v1, v1 + EPSILON_V, v1]),
+            np.array([v2, v2, v2 + EPSILON_V]))
+        # P through tau with normal directions[0]: k = o + t d.
+        denom = directions @ directions[0]
+        if np.any(np.abs(denom) < 1e-12):
             raise InverseDivergedError(
-                f"beam became parallel to the target plane: {exc}") from exc
-        u1 = (k1 - k0) / EPSILON_V
-        u2 = (k2 - k0) / EPSILON_V
-        basis = np.column_stack([u1, u2])
-        coeffs, *_ = np.linalg.lstsq(basis, tau - k0, rcond=None)
-        a, b = float(coeffs[0]), float(coeffs[1])
+                "beam became parallel to the target plane")
+        t = ((tau - origins) @ directions[0]) / denom
+        hits = origins + t[:, None] * directions
+        # Rows u1 = (k1 - k0) / eps and u2 = (k2 - k0) / eps.
+        a, b = _step((hits[1:] - hits[0]) / EPSILON_V, tau - hits[0])
         v1 += a
         v2 += b
         if max(abs(a), abs(b)) < voltage_step_v:
-            miss = model.beam(v1, v2).distance_to_point(tau)
+            origin, direction = model.beams(np.array([v1]), np.array([v2]))
+            offset = tau - origin[0]
+            miss = float(np.linalg.norm(
+                offset - (offset @ direction[0]) * direction[0]))
             return InverseResult(v1=v1, v2=v2, iterations=iteration,
                                  miss_distance_m=miss)
     raise InverseDivergedError(

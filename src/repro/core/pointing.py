@@ -13,7 +13,8 @@ alternates:
 
 Converges in 2-5 iterations (matching the paper), because after the
 first round each originating point moves only fractions of a
-millimeter per iteration.
+millimeter per iteration.  Every ``G`` evaluation here and in ``G'``
+runs on the array kernel (:meth:`repro.core.gma.GmaModel.beams`).
 """
 
 from __future__ import annotations
@@ -21,8 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
+import numpy as np
+
 from ..vrh import Pose
 from . import inverse
+from .gma import GmaModel
 from .system import LearnedSystem
 
 #: Default cap mirroring the paper's observed 2-5 iterations, padded.
@@ -52,6 +56,12 @@ class PointingCommand:
         return self.v_rx1, self.v_rx2
 
 
+def _origin(model: GmaModel, v1: float, v2: float) -> np.ndarray:
+    """The modelled beam's originating point, on the array kernel."""
+    origins, _ = model.beams(np.array([v1]), np.array([v2]))
+    return origins[0]
+
+
 def cold_start_seed(system: LearnedSystem, reported_pose: Pose,
                     voltage_step_v: float = inverse.DEFAULT_VOLTAGE_STEP_V
                     ) -> Tuple[float, float, float, float]:
@@ -66,8 +76,8 @@ def cold_start_seed(system: LearnedSystem, reported_pose: Pose,
     """
     tx = system.tx_model_vr
     rx = system.rx_model_vr(reported_pose)
-    p_t = tx.beam(0.0, 0.0).origin
-    p_r = rx.beam(0.0, 0.0).origin
+    p_t = _origin(tx, 0.0, 0.0)
+    p_r = _origin(rx, 0.0, 0.0)
     try:
         tx_solution = inverse.solve(tx, p_r, 0.0, 0.0,
                                     voltage_step_v=voltage_step_v)
@@ -93,8 +103,8 @@ def point(system: LearnedSystem, reported_pose: Pose,
     tx = system.tx_model_vr
     rx = system.rx_model_vr(reported_pose)
     for iteration in range(1, max_iterations + 1):
-        p_t = tx.beam(v_tx1, v_tx2).origin
-        p_r = rx.beam(v_rx1, v_rx2).origin
+        p_t = _origin(tx, v_tx1, v_tx2)
+        p_r = _origin(rx, v_rx1, v_rx2)
         tx_solution = inverse.solve(tx, p_r, v_tx1, v_tx2,
                                     voltage_step_v=voltage_step_v)
         rx_solution = inverse.solve(rx, p_t, v_rx1, v_rx2,

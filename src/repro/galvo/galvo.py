@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..determinism import resolve_rng
-from ..geometry import Ray
+from ..geometry import Plane, Ray
 from .daq import Daq
 from .mirror import GmaParams, mirror_planes, trace
 from .specs import GVS102, GalvoSpec
@@ -64,6 +64,18 @@ class GalvoHardware:
         self._v2 = 0.0
         self._angle1 = self._true_angle(0.0)
         self._angle2 = self._true_angle(0.0)
+        self._forget_geometry()
+
+    def _forget_geometry(self) -> None:
+        """Drop the cached beam and mirror plane of the last command.
+
+        :meth:`output_beam` and :meth:`second_mirror_plane` trace the
+        current mirror state once and keep the result.  The state
+        changes only in ``__post_init__`` and :meth:`apply`, which both
+        call this.
+        """
+        self._beam: Optional[Ray] = None
+        self._plane: Optional[Plane] = None
 
     # -- voltage handling ----------------------------------------------------
 
@@ -93,6 +105,7 @@ class GalvoHardware:
         self._v1, self._v2 = new_v1, new_v2
         self._angle1 = self._true_angle(new_v1)
         self._angle2 = self._true_angle(new_v2)
+        self._forget_geometry()
         return self.spec.settle_time_s(step * self.params.theta1)
 
     # -- the physical response -----------------------------------------------
@@ -106,17 +119,28 @@ class GalvoHardware:
         return angle
 
     def output_beam(self) -> Ray:
-        """The beam currently leaving the GMA (in the params' frame)."""
-        return trace(self.params, self._v1, self._v2,
-                     angle1_rad=self._angle1, angle2_rad=self._angle2)
+        """The beam currently leaving the GMA (in the params' frame).
 
-    def second_mirror_plane(self):
+        Traced once per command: every query until the next
+        :meth:`apply` returns the same :class:`Ray`.
+        """
+        if self._beam is None:
+            self._beam = trace(self.params, self._v1, self._v2,
+                               angle1_rad=self._angle1,
+                               angle2_rad=self._angle2)
+        return self._beam
+
+    def second_mirror_plane(self) -> Plane:
         """The second mirror's current plane (in the params' frame).
 
         The channel needs this to locate where an arriving beam strikes
         the steering mirror -- the paper's target point ``tau``.
+        Cached per command like :meth:`output_beam`.
         """
-        return mirror_planes(self.params, self._angle1, self._angle2)[1]
+        if self._plane is None:
+            self._plane = mirror_planes(self.params, self._angle1,
+                                        self._angle2)[1]
+        return self._plane
 
     def beam_for(self, v1: float, v2: float) -> Ray:
         """Apply voltages and return the resulting beam in one call."""

@@ -130,10 +130,20 @@ def matrix_to_axis_angle(matrix: np.ndarray) -> tuple:
     return normalize(axis), angle
 
 
+_EYE = np.eye(3)
+#: ``np.allclose``'s default relative term against the identity.
+_EYE_RTOL = 1e-5 * _EYE
+
+
 def is_rotation_matrix(matrix: np.ndarray, tol: float = 1e-8) -> bool:
-    """True when ``matrix`` is orthonormal with determinant +1."""
+    """True when ``matrix`` is orthonormal with determinant +1.
+
+    Orthonormality is ``np.allclose(m @ m.T, I, atol=tol)`` spelled out
+    as one compare, ``|m m^T - I| <= tol + 1e-5 I``: the same predicate
+    without ``allclose``'s per-call set-up.
+    """
     m = np.asarray(matrix, dtype=float)
     if m.shape != (3, 3):
         return False
-    orthonormal = np.allclose(m @ m.T, np.eye(3), atol=tol)
+    orthonormal = bool((np.abs(m @ m.T - _EYE) <= tol + _EYE_RTOL).all())
     return orthonormal and abs(float(np.linalg.det(m)) - 1.0) <= tol

@@ -35,6 +35,21 @@ class RigidTransform:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, rotation: np.ndarray,
+                 translation: np.ndarray) -> "RigidTransform":
+        """Build without validation from parts already known good.
+
+        For float64 ``(3, 3)`` / ``(3,)`` arrays derived from validated
+        transforms or poses (a product or transpose of rotations that
+        passed :meth:`__post_init__`): re-checking them would only
+        repeat the check their inputs already passed.
+        """
+        transform = object.__new__(cls)
+        object.__setattr__(transform, "rotation", rotation)
+        object.__setattr__(transform, "translation", translation)
+        return transform
+
+    @classmethod
     def identity(cls) -> "RigidTransform":
         """The do-nothing transform."""
         return cls(np.eye(3), np.zeros(3))
@@ -72,7 +87,7 @@ class RigidTransform:
 
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         """``self after other``: apply ``other`` first, then ``self``."""
-        return RigidTransform(
+        return RigidTransform._trusted(
             self.rotation @ other.rotation,
             self.rotation @ other.translation + self.translation,
         )
@@ -80,7 +95,7 @@ class RigidTransform:
     def inverse(self) -> "RigidTransform":
         """The transform undoing this one."""
         r_inv = self.rotation.T
-        return RigidTransform(r_inv, -(r_inv @ self.translation))
+        return RigidTransform._trusted(r_inv, -(r_inv @ self.translation))
 
     def almost_equal(self, other: "RigidTransform",
                      tol: float = 1e-9) -> bool:

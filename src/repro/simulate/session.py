@@ -226,16 +226,18 @@ class PrototypeSession:
                             supervisor: Optional[Supervisor]
                             ) -> Optional[PointingCommand]:
         """One solve, plus the supervisor's fallback-seed ladder."""
+        cold = None
         if last_command is not None:
             seed = self._command_tuple(last_command)
         else:
-            seed = cold_start_seed(system, report)
+            seed = cold = cold_start_seed(system, report)
         command = self._point(system, report, seed=seed)
         if command is not None or supervisor is None:
             return command
+        if cold is None:
+            cold = cold_start_seed(system, report)
         attempts = 1
-        for name, fallback in supervisor.fallback_seeds(
-                cold_start_seed(system, report)):
+        for name, fallback in supervisor.fallback_seeds(cold):
             if fallback == seed:
                 continue
             attempts += 1

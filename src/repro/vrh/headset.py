@@ -62,9 +62,22 @@ class TxAssembly:
     hardware: GalvoHardware
     kspace_to_world: RigidTransform
 
+    def __post_init__(self) -> None:
+        # (hardware beam, placement, world beam) of the last query.
+        self._world: tuple = (None, None, None)
+
     def world_beam(self) -> Ray:
-        """The beam currently launched by TX, in world coordinates."""
-        return self.kspace_to_world.apply_ray(self.hardware.output_beam())
+        """The beam currently launched by TX, in world coordinates.
+
+        Re-placed only when the hardware beam (a new command) or the
+        placement changed since the last query.
+        """
+        beam = self.hardware.output_beam()
+        source, placement, world = self._world
+        if beam is not source or self.kspace_to_world is not placement:
+            world = self.kspace_to_world.apply_ray(beam)
+            self._world = (beam, self.kspace_to_world, world)
+        return world
 
     def world_second_mirror_plane(self) -> Plane:
         """The TX GM's second-mirror plane, in world coordinates."""

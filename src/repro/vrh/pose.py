@@ -60,7 +60,7 @@ class Pose:
 
     def as_transform(self) -> RigidTransform:
         """The body-to-reference rigid transform."""
-        return RigidTransform(self.orientation, self.position)
+        return RigidTransform._trusted(self.orientation, self.position)
 
     def euler_angles(self) -> tuple:
         """Orientation as (roll, pitch, yaw)."""

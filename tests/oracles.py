@@ -1,12 +1,19 @@
-"""Reference loops for the Section 5.4 pipeline: the byte-identity oracles.
+"""Reference implementations the engines in ``src/`` are tested against.
 
-``src/repro`` has one engine per stage -- the batched tensor engines in
-``repro.motion.batch`` and ``repro.simulate.batch`` -- and every
-per-trace or dataset API is a view of them.  The original per-sample
-and per-slot loops live here instead, written for clarity rather than
-speed, and the tests assert the engines reproduce them bit for bit
-(``np.array_equal``, never ``allclose``).  Nothing under ``src/``
-imports this module.
+* The Section 5.4 pipeline: ``src/repro`` has one engine per stage --
+  the batched tensor engines in ``repro.motion.batch`` and
+  ``repro.simulate.batch`` -- and every per-trace or dataset API is a
+  view of them.  The original per-sample and per-slot loops live here
+  instead, written for clarity rather than speed, and the tests assert
+  the engines reproduce them bit for bit (``np.array_equal``, never
+  ``allclose``).
+* The Section 4.3 closed loop: ``G'`` and ``P`` on the scalar
+  ``Ray``/``Plane`` trace with an ``lstsq`` 2x2 solve.  ``src/`` runs
+  both on the array ``G`` kernel with a closed-form solve; the tests
+  hold them to the same converge/diverge outcome and voltages within
+  one DAQ step.
+
+Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -16,9 +23,22 @@ import math
 import numpy as np
 
 from repro import constants
+from repro.core import GmaModel, LearnedSystem, PointingCommand
+from repro.core.inverse import (
+    DEFAULT_VOLTAGE_STEP_V,
+    EPSILON_V,
+    InverseDivergedError,
+    InverseResult,
+)
+from repro.core.pointing import (
+    MAX_POINTING_ITERATIONS,
+    PointingDivergedError,
+)
 from repro.determinism import derive
+from repro.geometry import NoIntersectionError, Plane
 from repro.motion import VIDEO_360, HeadTrace, TraceProfile
 from repro.simulate import TimeslotParams, TimeslotResult
+from repro.vrh import Pose
 
 
 def ou_series_reference(n: int, dt: float, tau: float, sigma: float,
@@ -141,3 +161,66 @@ def simulate_trace_reference(trace: HeadTrace,
             slot_index += 1
     return TimeslotResult(connected=connected, viewer=trace.viewer,
                           video=trace.video)
+
+
+def solve_reference(model: GmaModel, target, v1: float = 0.0,
+                    v2: float = 0.0,
+                    voltage_step_v: float = DEFAULT_VOLTAGE_STEP_V,
+                    max_iterations: int = 25) -> InverseResult:
+    """``G'`` on the scalar trace: three ``Ray`` beams, ``lstsq`` step."""
+    tau = np.asarray(target, dtype=float)
+    for iteration in range(1, max_iterations + 1):
+        beam0 = model.beam(v1, v2)
+        plane = Plane(tau, beam0.direction)
+        try:
+            k0 = plane.intersect_ray(beam0, forward_only=False)
+            k1 = plane.intersect_ray(model.beam(v1 + EPSILON_V, v2),
+                                     forward_only=False)
+            k2 = plane.intersect_ray(model.beam(v1, v2 + EPSILON_V),
+                                     forward_only=False)
+        except NoIntersectionError as exc:
+            raise InverseDivergedError(
+                f"beam became parallel to the target plane: {exc}") from exc
+        u1 = (k1 - k0) / EPSILON_V
+        u2 = (k2 - k0) / EPSILON_V
+        basis = np.column_stack([u1, u2])
+        coeffs, *_ = np.linalg.lstsq(basis, tau - k0, rcond=None)
+        a, b = float(coeffs[0]), float(coeffs[1])
+        v1 += a
+        v2 += b
+        if max(abs(a), abs(b)) < voltage_step_v:
+            miss = model.beam(v1, v2).distance_to_point(tau)
+            return InverseResult(v1=v1, v2=v2, iterations=iteration,
+                                 miss_distance_m=miss)
+    raise InverseDivergedError(
+        f"G' did not converge on {tau} in {max_iterations} iterations")
+
+
+def point_reference(system: LearnedSystem, reported_pose: Pose,
+                    initial=(0.0, 0.0, 0.0, 0.0),
+                    voltage_step_v: float = DEFAULT_VOLTAGE_STEP_V,
+                    max_iterations: int = MAX_POINTING_ITERATIONS
+                    ) -> PointingCommand:
+    """``P`` on the scalar trace, over :func:`solve_reference`."""
+    v_tx1, v_tx2, v_rx1, v_rx2 = (float(v) for v in initial)
+    tx = system.tx_model_vr
+    rx = system.rx_model_vr(reported_pose)
+    for iteration in range(1, max_iterations + 1):
+        p_t = tx.beam(v_tx1, v_tx2).origin
+        p_r = rx.beam(v_rx1, v_rx2).origin
+        tx_solution = solve_reference(tx, p_r, v_tx1, v_tx2,
+                                      voltage_step_v=voltage_step_v)
+        rx_solution = solve_reference(rx, p_t, v_rx1, v_rx2,
+                                      voltage_step_v=voltage_step_v)
+        moved = max(abs(tx_solution.v1 - v_tx1),
+                    abs(tx_solution.v2 - v_tx2),
+                    abs(rx_solution.v1 - v_rx1),
+                    abs(rx_solution.v2 - v_rx2))
+        v_tx1, v_tx2 = tx_solution.v1, tx_solution.v2
+        v_rx1, v_rx2 = rx_solution.v1, rx_solution.v2
+        if moved < voltage_step_v:
+            return PointingCommand(v_tx1=v_tx1, v_tx2=v_tx2,
+                                   v_rx1=v_rx1, v_rx2=v_rx2,
+                                   iterations=iteration)
+    raise PointingDivergedError(
+        f"pointing did not settle in {max_iterations} iterations")

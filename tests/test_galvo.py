@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.galvo import (
+    CoverageError,
     Daq,
     GVS102,
     GalvoHardware,
@@ -215,3 +216,45 @@ class TestGalvoHardware:
         hw = quiet_hardware()
         beam = hw.beam_for(0.3, 0.4)
         assert np.allclose(beam.origin, hw.output_beam().origin)
+
+
+class TestPerCommandCache:
+    """``output_beam``/``second_mirror_plane`` trace once per command."""
+
+    def test_cache_matches_fresh_trace_after_every_apply(self, rng):
+        hw = GalvoHardware(canonical_gma(np.radians(1.0)),
+                           nonlinearity=1e-4, rng=np.random.default_rng(3))
+        for _ in range(120):
+            hw.apply(*rng.uniform(-9.9, 9.9, size=2))
+            beam = hw.output_beam()
+            plane = hw.second_mirror_plane()
+            fresh = trace(hw.params, *hw.voltages,
+                          angle1_rad=hw._angle1, angle2_rad=hw._angle2)
+            fresh_plane = mirror_planes(hw.params, hw._angle1,
+                                        hw._angle2)[1]
+            assert np.array_equal(beam.origin, fresh.origin)
+            assert np.array_equal(beam.direction, fresh.direction)
+            assert np.array_equal(plane.point, fresh_plane.point)
+            assert np.array_equal(plane.normal, fresh_plane.normal)
+            # Repeated queries between commands return the cached ray.
+            assert hw.output_beam() is beam
+            assert hw.second_mirror_plane() is plane
+
+    def test_apply_invalidates_even_for_same_voltages(self):
+        # Each command draws fresh jitter, so the beam must be retraced.
+        hw = GalvoHardware(canonical_gma(np.radians(1.0)),
+                           rng=np.random.default_rng(5))
+        hw.apply(1.0, 1.0)
+        first = hw.output_beam()
+        hw.apply(1.0, 1.0)
+        second = hw.output_beam()
+        assert second is not first
+        assert not np.array_equal(first.direction, second.direction)
+
+    def test_rejected_command_keeps_the_cache(self):
+        hw = quiet_hardware()
+        hw.apply(0.5, 0.5)
+        beam = hw.output_beam()
+        with pytest.raises(CoverageError):
+            hw.apply(20.0, 0.0)
+        assert hw.output_beam() is beam

@@ -144,3 +144,23 @@ class TestIsRotationMatrix:
 
     def test_rejects_non_square(self):
         assert not is_rotation_matrix(np.ones((2, 3)))
+
+    def test_same_predicate_as_allclose(self, rng):
+        # The explicit compare must agree with np.allclose everywhere,
+        # including right at the tolerance and on non-finite input.
+        def via_allclose(m, tol):
+            return (np.allclose(m @ m.T, np.eye(3), atol=tol)
+                    and abs(float(np.linalg.det(m)) - 1.0) <= tol)
+
+        for scale in (0.0, 1e-9, 1e-8, 3e-7, 1e-6, 5e-6, 1e-5, 1e-3):
+            for _ in range(100):
+                base = rotation_matrix(rng.normal(size=3),
+                                       rng.uniform(0, np.pi))
+                m = base + rng.normal(0.0, scale, size=(3, 3))
+                for tol in (1e-8, 1e-6):
+                    assert is_rotation_matrix(m, tol) == via_allclose(m, tol)
+        for bad in (np.nan, np.inf, -np.inf):
+            m = np.eye(3)
+            m[1, 2] = bad
+            with np.errstate(invalid="ignore"):  # inf * 0 in m @ m.T
+                assert not is_rotation_matrix(m)

@@ -89,3 +89,13 @@ class TestAlgebra:
         assert t.almost_equal(nudged, tol=1e-9)
         assert not t.almost_equal(
             RigidTransform(t.rotation, t.translation + 1.0))
+
+    def test_trusted_results_equal_validated_ones(self, rng):
+        # compose/inverse skip re-validation; the result is the same
+        # transform the validating constructor would build.
+        a = RigidTransform.from_params(rng.normal(size=6))
+        b = RigidTransform.from_params(rng.normal(size=6))
+        for trusted in (a.compose(b), a.inverse(), b.inverse().compose(a)):
+            checked = RigidTransform(trusted.rotation, trusted.translation)
+            assert np.array_equal(trusted.rotation, checked.rotation)
+            assert np.array_equal(trusted.translation, checked.translation)

@@ -1,8 +1,11 @@
 """Unit tests for the Testbed rig itself."""
 
+import copy
+
 import numpy as np
 import pytest
 
+from repro.core import point
 from repro.link import link_25g
 from repro.simulate import Testbed
 from repro.simulate.rig import (
@@ -52,6 +55,27 @@ class TestConstruction:
         bed = Testbed(design=link_25g(), seed=5)
         assert bed.design.sfp.optimal_throughput_gbps == pytest.approx(
             23.5)
+
+
+    def test_deepcopy_evolves_independently(self):
+        original = Testbed(seed=9)
+        pose = original.home_pose
+        report = original.tracker.true_report_transform(pose)
+        aligned = point(original.oracle_system(),
+                        Pose(report.translation, report.rotation))
+        original.apply_command(aligned)
+        before = original.channel.evaluate(pose)
+        clone = copy.deepcopy(original)
+        assert clone.channel.evaluate(pose) == before
+        clone.tx_hardware.apply(aligned.v_tx1 + 0.3, aligned.v_tx2)
+        # The clone's cached beams moved; the original's did not.
+        assert clone.channel.evaluate(pose) != before
+        assert original.channel.evaluate(pose) == before
+        assert (original.tx_assembly.world_beam()
+                is not clone.tx_assembly.world_beam())
+        original.rx_hardware.apply(aligned.v_rx1 - 0.3, aligned.v_rx2)
+        assert original.channel.evaluate(pose) != before
+        assert clone.rx_hardware.voltages != original.rx_hardware.voltages
 
 
 class TestAiming:

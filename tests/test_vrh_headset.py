@@ -37,6 +37,21 @@ class TestTxAssembly:
         assert plane.contains(tx.world_beam().origin, tol=1e-9)
 
 
+    def test_world_beam_follows_apply(self):
+        hw = quiet_hardware()
+        placement = RigidTransform(rotation_matrix([1, 0, 0], 0.3),
+                                   np.array([0.0, 0.0, 2.5]))
+        tx = TxAssembly(hw, placement)
+        for voltages in [(0.5, -0.5), (0.5, -0.5), (2.0, 1.0), (-3.0, 0.2)]:
+            hw.apply(*voltages)
+            beam = tx.world_beam()
+            expected = placement.apply_ray(hw.output_beam())
+            assert np.array_equal(beam.origin, expected.origin)
+            assert np.array_equal(beam.direction, expected.direction)
+            # Unchanged hardware beam: the same world ray is reused.
+            assert tx.world_beam() is beam
+
+
 class TestRxAssembly:
     def test_beam_rides_with_headset(self):
         hw = quiet_hardware()
